@@ -357,19 +357,26 @@ func (h *HCA) dmaChunk(sge SGE, pipelined bool, f func(pa phys.Addr, off uint64,
 	return cost, nil
 }
 
-// Gather DMA-reads the payload described by a gather list and returns the
-// bytes plus the adapter-side cost (translations + DMA reads). This is the
-// "network adapter can fetch buffers from the memory subsystem
+// Gather DMA-reads the payload described by a gather list into dst and
+// returns the bytes plus the adapter-side cost (translations + DMA reads).
+// This is the "network adapter can fetch buffers from the memory subsystem
 // simultaneously without involving the CPU" step; simultaneity is modelled
 // by charging the serial DMA cost only once per chunk with no CPU charge.
-func (h *HCA) Gather(sges []SGE) ([]byte, simtime.Ticks, error) {
-	data := make([]byte, 0, TotalLen(sges))
+// Each byte is copied once, straight into the payload: dst is reused when
+// cap(dst) covers the gather list, otherwise one buffer is allocated. The
+// caller owns the returned slice; every byte of it is overwritten.
+func (h *HCA) Gather(dst []byte, sges []SGE) ([]byte, simtime.Ticks, error) {
+	size := TotalLen(sges)
+	if cap(dst) < size {
+		dst = make([]byte, size)
+	}
+	data := dst[:size]
 	var total simtime.Ticks
+	pos := 0
 	for i, sge := range sges {
 		cost, err := h.dmaChunk(sge, i > 0, func(pa phys.Addr, _ uint64, n int) {
-			buf := make([]byte, n)
-			h.mem.ReadPhys(pa, buf)
-			data = append(data, buf...)
+			h.mem.ReadPhys(pa, data[pos:pos+n])
+			pos += n
 		})
 		if err != nil {
 			return nil, 0, err
@@ -437,12 +444,12 @@ func (h *HCA) attCounters() (hits, misses, evicts int64) {
 // hca-layer span at tc's position (callers put tc on an adapter track),
 // annotated with the bytes moved and the translation-cache behaviour of
 // exactly this operation.
-func (h *HCA) GatherT(tc trace.Ctx, sges []SGE) ([]byte, simtime.Ticks, error) {
+func (h *HCA) GatherT(tc trace.Ctx, dst []byte, sges []SGE) ([]byte, simtime.Ticks, error) {
 	if !tc.Enabled() {
-		return h.Gather(sges)
+		return h.Gather(dst, sges)
 	}
 	h0, m0, e0 := h.attCounters()
-	data, cost, err := h.Gather(sges)
+	data, cost, err := h.Gather(dst, sges)
 	if err != nil {
 		return data, cost, err
 	}

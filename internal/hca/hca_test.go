@@ -76,7 +76,7 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	if err := as.Write(va+100, in); err != nil {
 		t.Fatal(err)
 	}
-	data, cost, err := h.Gather([]hca.SGE{{Addr: va + 100, Length: uint32(len(in)), LKey: mr.LKey}})
+	data, cost, err := h.Gather(nil, []hca.SGE{{Addr: va + 100, Length: uint32(len(in)), LKey: mr.LKey}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,68 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGatherReusesDst gathers into caller-supplied buffers: a large
+// enough dirty dst is reused and fully overwritten (never-written memory
+// reads as zeros, not as dst's old bytes), and a too-small dst is left
+// alone in favour of one fresh buffer holding the right bytes.
+func TestGatherReusesDst(t *testing.T) {
+	m := machine.Opteron()
+	as, h := rig(t, m)
+	va, mr := reg(t, as, h, 64<<10, false, false)
+	const n = 9000 // crosses pages; [va, va+n) was never written
+	sge := []hca.SGE{{Addr: va + 100, Length: n, LKey: mr.LKey}}
+
+	dirty := make([]byte, n+50)
+	for i := range dirty {
+		dirty[i] = 0xAB
+	}
+	data, _, err := h.Gather(dirty, sge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != n || &data[0] != &dirty[0] {
+		t.Fatalf("gather into a large enough dst: len %d, reused %v", len(data), &data[0] == &dirty[0])
+	}
+	for i, b := range data {
+		if b != 0 {
+			t.Fatalf("never-written byte %d gathered as %#x, want 0", i, b)
+		}
+	}
+
+	in := make([]byte, n)
+	for i := range in {
+		in[i] = byte(i*7 + 1)
+	}
+	if err := as.Write(va+100, in); err != nil {
+		t.Fatal(err)
+	}
+	small := make([]byte, 16)
+	data, _, err = h.Gather(small, sge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != n || &data[0] == &small[0] {
+		t.Fatalf("gather into a too-small dst: len %d, reused %v", len(data), &data[0] == &small[0])
+	}
+	for i := range in {
+		if data[i] != in[i] {
+			t.Fatalf("gather into a too-small dst corrupted byte %d", i)
+		}
+	}
+	for _, b := range small {
+		if b != 0 {
+			t.Fatal("a too-small dst must be left untouched")
+		}
+	}
+}
+
 func TestMultiSGEGatherOrder(t *testing.T) {
 	m := machine.SystemP()
 	as, h := rig(t, m)
 	va, mr := reg(t, as, h, 16<<10, false, false)
 	_ = as.Write(va, []byte("AAAA"))
 	_ = as.Write(va+8192, []byte("BBBB"))
-	data, _, err := h.Gather([]hca.SGE{
+	data, _, err := h.Gather(nil, []hca.SGE{
 		{Addr: va + 8192, Length: 4, LKey: mr.LKey},
 		{Addr: va, Length: 4, LKey: mr.LKey},
 	})
@@ -156,10 +211,10 @@ func TestBoundsChecks(t *testing.T) {
 	m := machine.Opteron()
 	as, h := rig(t, m)
 	va, mr := reg(t, as, h, 8192, false, false)
-	if _, _, err := h.Gather([]hca.SGE{{Addr: va + 8000, Length: 500, LKey: mr.LKey}}); !errors.Is(err, hca.ErrOutOfBounds) {
+	if _, _, err := h.Gather(nil, []hca.SGE{{Addr: va + 8000, Length: 500, LKey: mr.LKey}}); !errors.Is(err, hca.ErrOutOfBounds) {
 		t.Fatalf("overrun: got %v", err)
 	}
-	if _, _, err := h.Gather([]hca.SGE{{Addr: va, Length: 8, LKey: 0xdead}}); !errors.Is(err, hca.ErrBadKey) {
+	if _, _, err := h.Gather(nil, []hca.SGE{{Addr: va, Length: 8, LKey: 0xdead}}); !errors.Is(err, hca.ErrBadKey) {
 		t.Fatalf("bad key: got %v", err)
 	}
 }
@@ -208,7 +263,7 @@ func TestATTMissesDropWithHugeEntries(t *testing.T) {
 	va, mr := reg(t, as, h, size, true, false) // unpatched: 2048 entries
 	sge := []hca.SGE{{Addr: va, Length: size, LKey: mr.LKey}}
 	for i := 0; i < 3; i++ {
-		if _, _, err := h.Gather(sge); err != nil {
+		if _, _, err := h.Gather(nil, sge); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +273,7 @@ func TestATTMissesDropWithHugeEntries(t *testing.T) {
 	va2, mr2 := reg(t, as, h, size, true, true) // patched: 4 entries
 	sge2 := []hca.SGE{{Addr: va2, Length: size, LKey: mr2.LKey}}
 	for i := 0; i < 3; i++ {
-		if _, _, err := h.Gather(sge2); err != nil {
+		if _, _, err := h.Gather(nil, sge2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +290,7 @@ func TestRemoveMRInvalidatesKey(t *testing.T) {
 	if err := h.RemoveMR(mr.LKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.Gather([]hca.SGE{{Addr: va, Length: 8, LKey: mr.LKey}}); !errors.Is(err, hca.ErrBadKey) {
+	if _, _, err := h.Gather(nil, []hca.SGE{{Addr: va, Length: 8, LKey: mr.LKey}}); !errors.Is(err, hca.ErrBadKey) {
 		t.Fatalf("stale key accepted: %v", err)
 	}
 	if err := h.RemoveMR(mr.LKey); !errors.Is(err, hca.ErrBadKey) {

@@ -244,7 +244,7 @@ func (qp *QP) Send(now simtime.Ticks, wrid uint64, sges []SGE) (SendResult, erro
 		return SendResult{}, err
 	}
 
-	data, gather, err := qp.hca.Gather(sges)
+	data, gather, err := qp.hca.Gather(nil, sges)
 	if err != nil {
 		return fail(err)
 	}

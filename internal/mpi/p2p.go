@@ -61,6 +61,13 @@ const (
 
 // message is one wire-level unit between two ranks. Eager messages carry
 // their payload; rendezvous starts with an RTS carrying reply queues.
+//
+// Payload ownership: a payload buffer (message.data, finMsg.data) is
+// taken from the World's pool by its producer (sendEager's as.Read, the
+// rendezvous gathers, SendGathered) and handed back by its single
+// consumer once the bytes have landed (recvOn after the copy-out or the
+// RDMA scatter, recvRendezvousRead after its scatter). Nobody may touch
+// it after that. On an error path the buffer is simply dropped.
 type message struct {
 	kind int
 	src  int
@@ -70,7 +77,7 @@ type message struct {
 	// (0 when tracing is disabled).
 	flow uint64
 
-	// eager
+	// eager: the payload, owned by the receiver once pushed
 	data   []byte
 	arrive simtime.Ticks // arrival instant at the receiver's NIC
 
@@ -98,7 +105,7 @@ type ctsMsg struct {
 // finMsg announces the RDMA write: the payload plus the timing components
 // the receiver needs to finish the pipeline model.
 type finMsg struct {
-	data      []byte
+	data      []byte        // payload, owned by the receiver once pushed
 	start     simtime.Ticks // sender clock when the RDMA WR was posted
 	gather    simtime.Ticks // sender-side DMA gather cost
 	serialize simtime.Ticks // wire serialisation cost
@@ -166,7 +173,7 @@ func (r *Rank) sendEager(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.
 	}
 	var data []byte
 	if n > 0 {
-		data = make([]byte, n)
+		data = r.world.getPayload(n)
 		if err := r.as.Read(va, data); err != nil {
 			return err
 		}
@@ -294,7 +301,7 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 	if r.tr.Enabled() {
 		tcg = r.tr.At(trace.TrackHCATx, clk.Now())
 	}
-	data, gather, err := r.ctx.HW.GatherT(tcg, []hca.SGE{{Addr: va, Length: uint32(n), LKey: mr.LKey}})
+	data, gather, err := r.ctx.HW.GatherT(tcg, r.world.getPayload(n), []hca.SGE{{Addr: va, Length: uint32(n), LKey: mr.LKey}})
 	dma.Open() // gather done; the recv half may now drive the adapter
 	if err != nil {
 		return fmt.Errorf("mpi: rendezvous gather: %w", err)
@@ -378,6 +385,7 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 			if err := r.as.Write(va, m.data); err != nil {
 				return 0, err
 			}
+			r.world.putPayload(m.data)
 		}
 		// Return the eager buffer credit to the sender, stamped with the
 		// time the bounce buffer became free again. A full pool (e.g.
@@ -428,6 +436,7 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		if err != nil {
 			return 0, fmt.Errorf("mpi: rendezvous scatter: %w", err)
 		}
+		r.world.putPayload(fin.data)
 		wire := r.world.cfg.Machine.HCA.WireLatency
 		done := fin.start + wire + simtime.Max(simtime.Max(fin.gather, fin.serialize), scatter)
 		clk.AdvanceTo(done)
@@ -470,7 +479,7 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 	if r.tr.Enabled() {
 		tcg = r.tr.At(trace.TrackHCATx, clk.Now())
 	}
-	data, gather, err := m.srcHW.GatherT(tcg, []hca.SGE{{Addr: m.srcVA, Length: uint32(n), LKey: m.srcRKey}})
+	data, gather, err := m.srcHW.GatherT(tcg, r.world.getPayload(n), []hca.SGE{{Addr: m.srcVA, Length: uint32(n), LKey: m.srcRKey}})
 	if err != nil {
 		return 0, fmt.Errorf("mpi: RDMA read gather: %w", err)
 	}
@@ -483,6 +492,7 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 	if err != nil {
 		return 0, fmt.Errorf("mpi: RDMA read scatter: %w", err)
 	}
+	r.world.putPayload(data)
 	wire := r.world.cfg.Machine.HCA.WireLatency
 	serialize := simtime.BandwidthTicks(int64(n), r.world.cfg.Machine.HCA.WireBandwidthMBs)
 	done := clk.Now() + 2*wire + simtime.Max(simtime.Max(gather, serialize), scatter)

@@ -86,7 +86,7 @@ func (r *Rank) SendGathered(dst, tag int, pieces []Piece) error {
 	}
 	// One post, covering all SGEs (the sub-linear Figure 3 cost).
 	r.clock.Advance(r.ctx.PostSend(sges))
-	data, gather, err := r.ctx.HW.Gather(sges)
+	data, gather, err := r.ctx.HW.Gather(r.world.getPayload(hca.TotalLen(sges)), sges)
 	if err != nil {
 		return fmt.Errorf("mpi: gather DMA: %w", err)
 	}

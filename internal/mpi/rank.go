@@ -406,7 +406,7 @@ func (r *Rank) TierDemote(va vm.VA, n uint64) (int, error) {
 
 // WriteF64 stores a float64 slice at va (little-endian).
 func (r *Rank) WriteF64(va vm.VA, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
+	buf := r.world.f64Stage(len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
@@ -415,7 +415,7 @@ func (r *Rank) WriteF64(va vm.VA, xs []float64) error {
 
 // ReadF64 loads n float64s from va.
 func (r *Rank) ReadF64(va vm.VA, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
+	buf := r.world.f64Stage(n)
 	if err := r.as.Read(va, buf); err != nil {
 		return nil, err
 	}

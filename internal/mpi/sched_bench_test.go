@@ -17,6 +17,18 @@ func BenchmarkSendrecv8(b *testing.B) {
 	benchRing(b, 8, 64<<10)
 }
 
+// BenchmarkSendrecv1MiB measures one steady-state head-to-head 1 MiB
+// Sendrecv between two ranks per iteration, on a World built and warmed
+// outside the timed region. Its B/op is the host allocation of the
+// rendezvous payload path: the gathers reuse pooled payload buffers.
+func BenchmarkSendrecv1MiB(b *testing.B) {
+	b.ReportAllocs()
+	run := sendrecvPair(b, 1<<20)
+	run(1)
+	b.ResetTimer()
+	run(b.N)
+}
+
 // BenchmarkWorldRun1024 builds a 1024-rank world and runs one eager ring
 // exchange — the world-construction plus event-dispatch cost that
 // dominates at scale. Pre-refactor this allocated over a million peer

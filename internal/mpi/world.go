@@ -136,6 +136,53 @@ type World struct {
 	// abort flag that makes ranks blocked in message matching fail fast
 	// when a peer errors (the simulator's equivalent of MPI_Abort).
 	sched *sched.Scheduler
+
+	// payloads is the free list of DMA payload buffers, keyed by exact
+	// length (see message.data for the ownership rule). It is created
+	// on the first putPayload, so building a World costs nothing extra.
+	// It needs no lock: the scheduler runs one of the World's tasks at a
+	// time. It has no size cap: for each length it holds at most the
+	// peak number of buffers of that length in flight at once, summed
+	// over every length sent, and it dies with the World.
+	payloads map[int][][]byte
+
+	// f64buf stages the bytes of Rank.ReadF64/WriteF64; it grows to the
+	// largest call and is reused. One buffer serves every rank: one
+	// task runs at a time and as.Read/as.Write never park.
+	f64buf []byte
+}
+
+// getPayload returns an n-byte payload buffer, reusing one a consumer
+// returned when there is one. Its contents are stale: the producer must
+// overwrite every byte (as.Read and hca.Gather both do).
+func (w *World) getPayload(n int) []byte {
+	free := w.payloads[n]
+	if len(free) == 0 {
+		return make([]byte, n)
+	}
+	b := free[len(free)-1]
+	w.payloads[n] = free[:len(free)-1]
+	return b
+}
+
+// putPayload returns a payload buffer whose bytes have landed. The
+// caller must not touch b afterwards.
+func (w *World) putPayload(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if w.payloads == nil {
+		w.payloads = make(map[int][][]byte)
+	}
+	w.payloads[len(b)] = append(w.payloads[len(b)], b)
+}
+
+// f64Stage returns the staging buffer sized for n float64s.
+func (w *World) f64Stage(n int) []byte {
+	if cap(w.f64buf) < 8*n {
+		w.f64buf = make([]byte, 8*n)
+	}
+	return w.f64buf[:8*n]
 }
 
 // NewWorld builds a job: one node (physical memory + HCA + address space

@@ -105,7 +105,7 @@ func script(t *testing.T, n *node.Node) []vm.VA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := n.Verbs.HW.Gather([]hca.SGE{{Addr: vas[2], Length: 64 << 10, LKey: mr2.LKey}})
+	data, _, err := n.Verbs.HW.Gather(nil, []hca.SGE{{Addr: vas[2], Length: 64 << 10, LKey: mr2.LKey}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,10 @@ func (m *Memory) WritePhys(pa Addr, p []byte) {
 	}
 }
 
-// ReadPhys fills p from physical memory starting at address pa.
+// ReadPhys fills p from physical memory starting at address pa. Every
+// byte of p is overwritten: a never-written frame reads as zeros. Pooled
+// DMA payload buffers depend on this, since they arrive holding the
+// previous message's bytes.
 func (m *Memory) ReadPhys(pa Addr, p []byte) {
 	for len(p) > 0 {
 		f := Frame(pa / machine.SmallPageSize)
@@ -69,9 +72,7 @@ func (m *Memory) ReadPhys(pa Addr, p []byte) {
 		if fd := m.data.frame(f, false); fd != nil {
 			copy(p[:n], fd[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		pa += Addr(n)
 		p = p[n:]

@@ -159,6 +159,39 @@ func TestCopyPhys(t *testing.T) {
 			t.Fatalf("CopyPhys corrupted byte %d", i)
 		}
 	}
+
+	// Unaligned on both sides with different in-frame offsets, spanning
+	// several frames. The source's last frames were never written; they
+	// must land as zeros over a dirty destination.
+	const ps = machine.SmallPageSize
+	src, dst = Addr(8*ps-37), Addr(16*ps+1000)
+	n := 3*ps + 123
+	written := make([]byte, 2*ps)
+	for i := range written {
+		written[i] = byte(i*13 + 5)
+	}
+	m.WritePhys(src, written)
+	dirty := make([]byte, n)
+	for i := range dirty {
+		dirty[i] = 0xAA
+	}
+	m.WritePhys(dst, dirty)
+	m.CopyPhys(dst, src, n)
+	got := make([]byte, n)
+	m.ReadPhys(dst, got)
+	want := make([]byte, n)
+	m.ReadPhys(src, want)
+	for i := range want {
+		if i < len(written) && want[i] != written[i] {
+			t.Fatalf("source byte %d = %#x, want %#x", i, want[i], written[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("unaligned CopyPhys: byte %d = %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	if want[n-1] != 0 {
+		t.Fatal("never-written source must read zero")
+	}
 }
 
 // Property: any interleaving of allocs and frees never hands out a frame

@@ -89,7 +89,7 @@ func TestDeregUnpinsAndInvalidates(t *testing.T) {
 		t.Fatalf("unmap after dereg: %v", err)
 	}
 	// The HCA must have dropped the key.
-	if _, _, err := c.HW.Gather([]hca.SGE{{Addr: va, Length: 8, LKey: mr.LKey}}); err == nil {
+	if _, _, err := c.HW.Gather(nil, []hca.SGE{{Addr: va, Length: 8, LKey: mr.LKey}}); err == nil {
 		t.Fatal("stale lkey still valid after dereg")
 	}
 	st := c.Stats()
